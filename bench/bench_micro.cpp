@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths: event
-// queue, BER codec, MIB walks, the measurement database, and a full
-// simulated UDP round trip.
+// queue, BER codec, MIB walks, the measurement database, route lookup and
+// route profiling, and a full simulated UDP round trip.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +8,8 @@
 #include <deque>
 #include <vector>
 
+#include "apps/fabric.hpp"
+#include "core/high_fidelity_monitor.hpp"
 #include "core/lane_scheduler.hpp"
 #include "core/measurement_db.hpp"
 #include "ctrl/control_plane.hpp"
@@ -449,6 +451,62 @@ void BM_SimulatedUdpRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_SimulatedUdpRoundTrip);
+
+// One spine's routing table on the default 40x250 fabric: auto_route's /32
+// per reachable interface (~340 entries), plus a default route. Half the
+// lookups hit a /32 (every address the spine forwards to); the other half
+// are unassigned leaf addresses that fall through to the default route.
+void BM_RouteLookup(benchmark::State& state) {
+  sim::Simulator sim;
+  apps::FabricOptions options;
+  options.install_sinks = false;
+  apps::FabricTestbed bed(sim, options);
+  net::Host& spine = *bed.network().find_host("spine0");
+  spine.routing().add(net::Prefix(net::IpAddr{}, 0), net::IpAddr{},
+                      spine.nics().front().get());
+  std::vector<net::IpAddr> targets;
+  for (const net::Route& r : spine.routing().routes()) {
+    if (r.prefix.length() != 32) continue;
+    targets.push_back(r.prefix.network());
+    targets.push_back(net::IpAddr(r.prefix.network().raw() ^ 0x80u));
+  }
+  for (auto _ : state) {
+    for (net::IpAddr dst : targets) {
+      benchmark::DoNotOptimize(spine.routing().lookup(dst));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(targets.size()));
+}
+BENCHMARK(BM_RouteLookup);
+
+// First calls of a fresh make_route_profiler on 1000 paths spread across
+// the default 40x250 fabric: the route walk (host lookups, L3 lookups,
+// switch-table walk, hop count) each path's footprint costs the first time
+// the director profiles it.
+void BM_RouteProfilerCold(benchmark::State& state) {
+  sim::Simulator sim;
+  apps::FabricOptions options;
+  options.install_sinks = false;
+  apps::FabricTestbed bed(sim, options);
+  std::vector<core::Path> paths;
+  const auto matrix =
+      bed.full_matrix({core::Metric::kThroughput}, core::ProbeClass::kNormal,
+                      apps::FabricTestbed::SweepOrder::kStriped);
+  for (std::size_t i = 0; i < matrix.size(); i += 10) {
+    paths.push_back(matrix[i].path);
+  }
+  const nttcp::NttcpConfig probe;
+  for (auto _ : state) {
+    auto profiler = core::make_route_profiler(bed.network(), probe);
+    for (const core::Path& path : paths) {
+      benchmark::DoNotOptimize(profiler(path, core::Metric::kThroughput));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(paths.size()));
+}
+BENCHMARK(BM_RouteProfilerCold);
 
 }  // namespace
 

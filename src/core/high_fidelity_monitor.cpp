@@ -111,46 +111,35 @@ SensorDirector::ProbeProfiler make_route_profiler(
     net::Network& network, const nttcp::NttcpConfig& probe,
     double reach_offered_bps) {
   const double probe_bps = nttcp::NttcpProbe::peak_load_bps(probe);
-  struct PathFootprint {
-    std::vector<LinkKey> keys;
-    double hop_multiplier = 1.0;
-  };
-  auto cache = std::make_shared<std::unordered_map<Path, PathFootprint>>();
-  return [&network, probe_bps, reach_offered_bps,
-          cache](const Path& path, Metric metric) {
+  return [&network, probe_bps, reach_offered_bps](const Path& path,
+                                                  Metric metric) {
     ProbeProfile profile;
-    auto it = cache->find(path);
-    if (it == cache->end()) {
-      PathFootprint fp;
-      auto add_direction = [&fp, &network](net::IpAddr a, net::IpAddr b) {
-        for (const net::Medium* medium : network.route_media(a, b)) {
-          const auto key = static_cast<LinkKey>(
-              reinterpret_cast<std::uintptr_t>(medium));
-          if (std::find(fp.keys.begin(), fp.keys.end(), key) ==
-              fp.keys.end()) {
-            fp.keys.push_back(key);
-          }
+    auto add_direction = [&profile, &network](net::IpAddr a, net::IpAddr b) {
+      for (const net::Medium* medium : network.route_media(a, b)) {
+        const auto key =
+            static_cast<LinkKey>(reinterpret_cast<std::uintptr_t>(medium));
+        if (std::find(profile.footprint.begin(), profile.footprint.end(),
+                      key) == profile.footprint.end()) {
+          profile.footprint.push_back(key);
         }
-      };
-      // Legs are measured sequentially, so the concurrent load is the worst
-      // single leg's. octets_by_class() charges the burst once per L3 hop
-      // (routers re-inject it), so the declared load — which the budget B
-      // and the IntrusivenessMeter it is checked against both use — scales
-      // by the data direction's hop count.
-      for (std::size_t leg = 0; leg < path.leg_count(); ++leg) {
-        auto [from, to] = path.leg(leg);
-        add_direction(from.host, to.host);
-        add_direction(to.host, from.host);
-        const std::size_t hops = network.route_hops(from.host, to.host);
-        fp.hop_multiplier =
-            std::max(fp.hop_multiplier, static_cast<double>(hops));
       }
-      it = cache->emplace(path, std::move(fp)).first;
+    };
+    // Legs are measured sequentially, so the concurrent load is the worst
+    // single leg's. octets_by_class() charges the burst once per L3 hop
+    // (routers re-inject it), so the declared load — which the budget B and
+    // the IntrusivenessMeter it is checked against both use — scales by the
+    // data direction's hop count.
+    double hop_multiplier = 1.0;
+    for (std::size_t leg = 0; leg < path.leg_count(); ++leg) {
+      auto [from, to] = path.leg(leg);
+      add_direction(from.host, to.host);
+      add_direction(to.host, from.host);
+      const std::size_t hops = network.route_hops(from.host, to.host);
+      hop_multiplier = std::max(hop_multiplier, static_cast<double>(hops));
     }
     const double data_bps =
         metric == Metric::kReachability ? reach_offered_bps : probe_bps;
-    profile.offered_bps = data_bps * it->second.hop_multiplier;
-    profile.footprint = it->second.keys;
+    profile.offered_bps = data_bps * hop_multiplier;
     return profile;
   };
 }

@@ -79,8 +79,8 @@ class NttcpSensor : public NetworkSensor {
 // declare `reach_offered_bps`, negligible by default) and the
 // link-disjointness footprint from Network::route_media over every path leg
 // in both directions (data flows out, results flow back; asymmetric routes
-// make the directions differ). Footprints are cached per path — construct
-// the profiler after auto_route() and rebuild it if routes change.
+// make the directions differ). Every call reads the live routing and switch
+// tables, so a footprint follows route changes such as swap_standby().
 SensorDirector::ProbeProfiler make_route_profiler(
     net::Network& network, const nttcp::NttcpConfig& probe,
     double reach_offered_bps = 0.0);

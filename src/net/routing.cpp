@@ -8,12 +8,14 @@ namespace netmon::net {
 
 void RoutingTable::add(Prefix prefix, IpAddr gateway, Nic* out) {
   routes_.push_back(Route{prefix, gateway, out});
+  if (indexed_) index_route(static_cast<std::uint32_t>(routes_.size() - 1));
 }
 
 void RoutingTable::remove(Prefix prefix) {
   routes_.erase(std::remove_if(routes_.begin(), routes_.end(),
                                [&](const Route& r) { return r.prefix == prefix; }),
                 routes_.end());
+  indexed_ = false;
 }
 
 void RoutingTable::add_standby(Prefix prefix, IpAddr gateway, Nic* out) {
@@ -47,13 +49,40 @@ bool RoutingTable::swap_standby(Prefix prefix) {
   return true;
 }
 
+void RoutingTable::index_route(std::uint32_t pos) const {
+  const Prefix& prefix = routes_[pos].prefix;
+  if (prefix.length() == 32) {
+    host_routes_[prefix.network().raw()] = pos;  // later /32s override
+  } else {
+    short_routes_.push_back(pos);
+  }
+}
+
+void RoutingTable::build_index() const {
+  host_routes_.clear();
+  host_routes_.reserve(routes_.size());
+  short_routes_.clear();
+  for (std::uint32_t pos = 0; pos < routes_.size(); ++pos) index_route(pos);
+  indexed_ = true;
+}
+
 std::optional<Route> RoutingTable::lookup(IpAddr dst) const {
   const Route* best = nullptr;
-  for (const Route& r : routes_) {
-    if (!r.prefix.contains(dst)) continue;
+  auto consider = [&best, dst](const Route& r) {
+    if (!r.prefix.contains(dst)) return;
     if (best == nullptr || r.prefix.length() >= best->prefix.length()) {
       best = &r;  // >= lets later equal-length entries override earlier ones
     }
+  };
+  if (routes_.size() <= kScanMax) {
+    for (const Route& r : routes_) consider(r);
+  } else {
+    if (!indexed_) build_index();
+    // A matching /32 is the longest prefix there is.
+    if (auto it = host_routes_.find(dst.raw()); it != host_routes_.end()) {
+      return routes_[it->second];
+    }
+    for (std::uint32_t pos : short_routes_) consider(routes_[pos]);
   }
   if (best == nullptr) return std::nullopt;
   return *best;

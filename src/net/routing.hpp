@@ -6,8 +6,10 @@
 // routes exist between two hosts, information may flow in one direction but
 // not in the other").
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/address.hpp"
@@ -32,9 +34,15 @@ class RoutingTable {
   void clear() {
     routes_.clear();
     standby_.clear();
+    indexed_ = false;
   }
 
+  // Longest-prefix match (DESIGN.md §16). A table of more than kScanMax
+  // routes answers a /32 with one hash probe and scans only its shorter
+  // prefixes; a smaller one is scanned whole, which is as fast as the probe
+  // and never pays for building the index.
   std::optional<Route> lookup(IpAddr dst) const;
+  static constexpr std::size_t kScanMax = 16;
   std::size_t size() const { return routes_.size(); }
   const std::vector<Route>& routes() const { return routes_; }
   std::string to_string() const;
@@ -56,8 +64,20 @@ class RoutingTable {
   const std::vector<Route>& standby_routes() const { return standby_; }
 
  private:
+  void build_index() const;
+  void index_route(std::uint32_t pos) const;
+
   std::vector<Route> routes_;
   std::vector<Route> standby_;
+  // Lookup index over routes_, built by the first indexed lookup after
+  // clear(), remove() or swap_standby(). add() extends a built index in
+  // place and leaves an unbuilt one alone, so filling a table costs no
+  // hashing.
+  mutable bool indexed_ = false;
+  // /32 address -> position in routes_ of its last-added route.
+  mutable std::unordered_map<std::uint32_t, std::uint32_t> host_routes_;
+  // Positions in routes_ of every shorter prefix, in insertion order.
+  mutable std::vector<std::uint32_t> short_routes_;
 };
 
 }  // namespace netmon::net

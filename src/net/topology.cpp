@@ -49,12 +49,19 @@ Switch& Network::add_switch(const std::string& name,
   return *switches_.back();
 }
 
-void Network::register_nic(Nic& nic) {
+void Network::register_nic(Node& node, Nic& nic) {
   if (nic.ip().is_unspecified()) return;
-  auto [it, inserted] = ip_to_nic_.emplace(nic.ip(), &nic);
+  auto [it, inserted] = ip_owners_.emplace(
+      nic.ip(), IpOwner{&nic, dynamic_cast<Host*>(&node)});
   if (!inserted) {
     throw std::logic_error("Network: duplicate IP " + nic.ip().to_string());
   }
+}
+
+Nic& Network::add_switch_port(Switch& sw) {
+  Nic& port = sw.add_port();
+  port_owner_.emplace(&port, &sw);
+  return port;
 }
 
 Nic& Network::attach(Node& node, SharedSegment& segment, IpAddr ip,
@@ -62,7 +69,7 @@ Nic& Network::attach(Node& node, SharedSegment& segment, IpAddr ip,
   Nic& nic = node.add_nic(tx_queue);
   nic.assign_ip(ip, prefix_len);
   segment.attach(&nic);
-  register_nic(nic);
+  register_nic(node, nic);
   return nic;
 }
 
@@ -71,13 +78,13 @@ Nic& Network::attach(Node& node, Switch& sw, IpAddr ip, int prefix_len,
                      std::size_t tx_queue) {
   Nic& nic = node.add_nic(tx_queue);
   nic.assign_ip(ip, prefix_len);
-  Nic& port = sw.add_port();
+  Nic& port = add_switch_port(sw);
   links_.push_back(std::make_unique<Link>(
       sim_, node.name() + "<->" + sw.name(), bandwidth_bps, propagation));
   Link& link = *links_.back();
   link.attach(&nic);
   link.attach(&port);
-  register_nic(nic);
+  register_nic(node, nic);
   return nic;
 }
 
@@ -95,15 +102,15 @@ std::pair<Nic*, Nic*> Network::connect(Node& a, IpAddr ip_a, Node& b,
   Link& link = *links_.back();
   link.attach(&na);
   link.attach(&nb);
-  register_nic(na);
-  register_nic(nb);
+  register_nic(a, na);
+  register_nic(b, nb);
   return {&na, &nb};
 }
 
 void Network::connect(Switch& a, Switch& b, double bandwidth_bps,
                       sim::Duration propagation) {
-  Nic& pa = a.add_port();
-  Nic& pb = b.add_port();
+  Nic& pa = add_switch_port(a);
+  Nic& pb = add_switch_port(b);
   links_.push_back(std::make_unique<Link>(
       sim_, a.name() + "<->" + b.name(), bandwidth_bps, propagation));
   Link& link = *links_.back();
@@ -112,14 +119,14 @@ void Network::connect(Switch& a, Switch& b, double bandwidth_bps,
 }
 
 std::optional<MacAddr> Network::mac_of(IpAddr ip) const {
-  auto it = ip_to_nic_.find(ip);
-  if (it == ip_to_nic_.end()) return std::nullopt;
-  return it->second->mac();
+  auto it = ip_owners_.find(ip);
+  if (it == ip_owners_.end()) return std::nullopt;
+  return it->second.nic->mac();
 }
 
 Nic* Network::nic_of(IpAddr ip) const {
-  auto it = ip_to_nic_.find(ip);
-  return it == ip_to_nic_.end() ? nullptr : it->second;
+  auto it = ip_owners_.find(ip);
+  return it == ip_owners_.end() ? nullptr : it->second.nic;
 }
 
 Host* Network::find_host(const std::string& name) const {
@@ -130,10 +137,8 @@ Host* Network::find_host(const std::string& name) const {
 }
 
 Host* Network::host_of(IpAddr ip) const {
-  for (const auto& h : hosts_) {
-    if (h->owns_ip(ip)) return h.get();
-  }
-  return nullptr;
+  auto it = ip_owners_.find(ip);
+  return it == ip_owners_.end() ? nullptr : it->second.host;
 }
 
 namespace {
@@ -274,11 +279,6 @@ std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
     media.push_back(m);
   };
 
-  std::unordered_map<const Nic*, Switch*> port_owner;
-  for (const auto& sw : switches_) {
-    for (const auto& port : sw->ports()) port_owner[port.get()] = sw.get();
-  }
-
   // Follow one L3 hop at the L2 layer: from the egress nic, across every
   // switch that forwards toward the hop target's MAC, until the medium the
   // target sits on. Hop-capped for safety against mispatched tables.
@@ -296,8 +296,8 @@ std::vector<const Medium*> Network::route_media(IpAddr src, IpAddr dst) const {
           arrived = true;
           break;
         }
-        auto owner = port_owner.find(nic);
-        if (owner == port_owner.end() || next != nullptr) continue;
+        auto owner = port_owner_.find(nic);
+        if (owner == port_owner_.end() || next != nullptr) continue;
         Nic* out = owner->second->port_for(target->mac());
         // out == nic would bounce the frame back where it came from — a
         // stale table, not a path; treat as unreachable through here.
@@ -359,11 +359,6 @@ std::array<std::uint64_t, kTrafficClassCount> Network::octets_by_class()
 }
 
 void Network::prime_switch_tables() {
-  std::unordered_map<const Nic*, Switch*> port_owner;
-  for (const auto& sw : switches_) {
-    for (const auto& port : sw->ports()) port_owner[port.get()] = sw.get();
-  }
-
   for (const auto& sw : switches_) {
     for (const auto& port : sw->ports()) {
       Medium* start = port->medium();
@@ -377,8 +372,8 @@ void Network::prime_switch_tables() {
         queue.pop_front();
         for (Nic* nic : medium->attached_nics()) {
           if (nic == port.get()) continue;
-          auto owner = port_owner.find(nic);
-          if (owner == port_owner.end()) {
+          auto owner = port_owner_.find(nic);
+          if (owner == port_owner_.end()) {
             sw->learn(nic->mac(), *port);  // end station
             continue;
           }

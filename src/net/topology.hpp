@@ -79,6 +79,8 @@ class Network {
   // --- runtime services ---------------------------------------------------
   MacAddr allocate_mac() { return MacAddr(++next_mac_); }
   std::uint64_t next_packet_id() { return ++next_packet_id_; }
+  // Address lookups are one hash probe into the index attach()/connect()
+  // fill as they assign addresses (DESIGN.md §16).
   std::optional<MacAddr> mac_of(IpAddr ip) const;
   Nic* nic_of(IpAddr ip) const;
   Host* find_host(const std::string& name) const;
@@ -125,7 +127,15 @@ class Network {
   ~Network() { detach_observability(); }
 
  private:
-  void register_nic(Nic& nic);
+  // The interface holding an address and the host it belongs to (nullptr
+  // for a Node that is not a Host).
+  struct IpOwner {
+    Nic* nic;
+    Host* host;
+  };
+
+  void register_nic(Node& node, Nic& nic);
+  Nic& add_switch_port(Switch& sw);
   // L2 domain id per medium (segments + links merged through switches).
   std::unordered_map<const Medium*, int> compute_l2_domains() const;
 
@@ -138,7 +148,9 @@ class Network {
   std::vector<std::unique_ptr<SharedSegment>> segments_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Switch>> switches_;
-  std::unordered_map<IpAddr, Nic*> ip_to_nic_;
+  std::unordered_map<IpAddr, IpOwner> ip_owners_;
+  // Every switch port -> its switch, filled as add_switch_port creates it.
+  std::unordered_map<const Nic*, Switch*> port_owner_;
   obs::Registry* obs_registry_ = nullptr;
   std::string obs_prefix_;
 };

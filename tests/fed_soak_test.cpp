@@ -81,6 +81,9 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
   core::MeasurementDatabase db_a(4, zone_tiers());
   core::MeasurementDatabase db_b(4, zone_tiers());
 
+  // Declared before the parent and children: the registry must outlive
+  // every attachee, whose destructors detach from it.
+  obs::Registry registry;
   FedParent parent(fabric.station(), parent_db, {});
   auto child_config = [&](const std::string& zone) {
     FedChildConfig cfg;
@@ -95,7 +98,6 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
   FedChild child_a(fabric.server(0), db_a, child_config("zone-a"));
   FedChild child_b(fabric.server(20), db_b, child_config("zone-b"));
 
-  obs::Registry registry;
   parent.attach_observability(registry, "fed.parent");
   child_a.attach_observability(registry, "fed.child.a");
   child_b.attach_observability(registry, "fed.child.b");

@@ -549,6 +549,54 @@ TEST(Topology, FindHelpers) {
   EXPECT_FALSE(network.mac_of(IpAddr(10, 0, 0, 99)).has_value());
 }
 
+// host_of, route_media, prime_switch_tables and route lookups read indexes
+// (address -> host, switch port -> switch, /32 -> route). Query them, grow
+// the topology by a host, a switch, its trunk and an attached port, re-route,
+// and query again: an index built once and never updated misses the new
+// host, or stops the walk at the new trunk.
+TEST(Topology, IndexesFollowTopologyGrowth) {
+  sim::Simulator sim;
+  Network network(sim, util::Rng(1));
+  auto& sw_a = network.add_switch("a");
+  auto& h1 = network.add_host("h1");
+  auto& h2 = network.add_host("h2");
+  network.attach(h1, sw_a, IpAddr(10, 0, 0, 1), 24);
+  network.attach(h2, sw_a, IpAddr(10, 0, 0, 2), 24);
+  network.auto_route();
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 2)), &h2);
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 3)), nullptr);
+  EXPECT_EQ(network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 2)).size(),
+            2u);
+  EXPECT_TRUE(
+      network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 3)).empty());
+
+  auto& sw_b = network.add_switch("b");
+  network.connect(sw_a, sw_b, 100e6);
+  const Medium* trunk = network.links().back().get();
+  auto& h3 = network.add_host("h3");
+  const Nic& h3_nic = network.attach(h3, sw_b, IpAddr(10, 0, 0, 3), 24);
+  network.auto_route();
+
+  EXPECT_EQ(network.host_of(IpAddr(10, 0, 0, 3)), &h3);
+  const auto media =
+      network.route_media(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 3));
+  ASSERT_EQ(media.size(), 3u);
+  EXPECT_EQ(media[0], h1.nic(0).medium());
+  EXPECT_EQ(media[1], trunk);
+  EXPECT_EQ(media[2], h3_nic.medium());
+  EXPECT_EQ(network.route_hops(IpAddr(10, 0, 0, 1), IpAddr(10, 0, 0, 3)), 1u);
+
+  // The primed tables carry real traffic across the trunk without flooding.
+  int received = 0;
+  h3.udp().bind(7000, [&](const Packet&) { ++received; });
+  h1.udp().bind(0, nullptr).send_to(IpAddr(10, 0, 0, 3), 7000, 100, nullptr,
+                                    TrafficClass::kOther);
+  sim.run();
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(sw_a.frames_flooded(), 0u);
+  EXPECT_EQ(sw_b.frames_flooded(), 0u);
+}
+
 TEST(Udp, EphemeralPortsUniqueAndRebindRejected) {
   sim::Simulator sim;
   Network network(sim, util::Rng(1));

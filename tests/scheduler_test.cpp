@@ -359,6 +359,34 @@ TEST(FabricFootprints, StandbyMatrixProvisionsSwappableAlternateRoutes) {
   EXPECT_EQ(s0.routing().lookup(c0.primary_ip())->gateway, primary->gateway);
 }
 
+// A control-plane failover swaps both endpoints onto the alternate spine;
+// the profiler must price the path on the route it now takes, and on the
+// primary again after the rollback swap.
+TEST(FabricFootprints, ProfilerFootprintFollowsStandbySwap) {
+  sim::Simulator sim;
+  apps::FabricTestbed bed(sim, small_fabric());
+  bed.provision_standby(0, 0);
+  nttcp::NttcpConfig probe;
+  auto profiler = core::make_route_profiler(bed.network(), probe);
+  const core::Path path = bed.path(0, 0);
+  net::Host& s0 = bed.server(0);
+  net::Host& c0 = bed.client(0);
+  auto swap_both = [&] {
+    ASSERT_TRUE(s0.routing().swap_standby(net::Prefix(c0.primary_ip(), 32)));
+    ASSERT_TRUE(c0.routing().swap_standby(net::Prefix(s0.primary_ip(), 32)));
+  };
+
+  const auto primary = profiler(path, core::Metric::kThroughput);
+  ASSERT_FALSE(primary.footprint.empty());
+  swap_both();
+  const auto standby = profiler(path, core::Metric::kThroughput);
+  EXPECT_NE(standby.footprint, primary.footprint);
+  EXPECT_EQ(standby.offered_bps, primary.offered_bps);  // still one spine
+  swap_both();
+  EXPECT_EQ(profiler(path, core::Metric::kThroughput).footprint,
+            primary.footprint);
+}
+
 TEST(FabricFootprints, RouteMediaSeparatesSpinesAndSharesLeafLinks) {
   sim::Simulator sim;
   apps::FabricTestbed bed(sim, small_fabric());

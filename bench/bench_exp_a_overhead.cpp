@@ -26,7 +26,7 @@ namespace {
 struct Row {
   int clients;
   int servers;
-  std::size_t concurrency;  // TestSequencer::kUnlimited = parallel
+  std::size_t concurrency;  // LaneScheduler::kUnlimited = parallel
   double peak_bps;
   double mean_bps;
 };
@@ -46,7 +46,7 @@ Row run(int clients, int servers, std::size_t concurrency,
   // whole window.
   cfg.probe.message_count = static_cast<std::uint32_t>(
       window / cfg.probe.inter_send);
-  cfg.max_concurrent = concurrency;
+  cfg.scheduling.lanes = concurrency;
   core::HighFidelityMonitor monitor(bed.network(), cfg);
 
   core::MonitorRequest request;
@@ -82,7 +82,7 @@ int main() {
     const double paper_parallel = k.c * k.s * L * 8.0 / P;
     const double paper_seq = L * 8.0 / P;
     const Row parallel =
-        run(k.c, k.s, core::TestSequencer::kUnlimited, window);
+        run(k.c, k.s, core::LaneScheduler::kUnlimited, window);
     const Row seq = run(k.c, k.s, 1, window);
     table.add_row({std::to_string(k.c), std::to_string(k.s), "parallel",
                    bench::fmt_mbps(paper_parallel),
@@ -104,9 +104,9 @@ int main() {
   util::print_banner("EXP-A ablation: sequencer concurrency k (C=9, S=3)");
   util::TextTable ablation({"max_concurrent", "peak (wire)", "mean (wire)"});
   for (std::size_t k : {std::size_t(1), std::size_t(3), std::size_t(9),
-                        core::TestSequencer::kUnlimited}) {
+                        core::LaneScheduler::kUnlimited}) {
     const Row row = run(9, 3, k, window);
-    ablation.add_row({k == core::TestSequencer::kUnlimited
+    ablation.add_row({k == core::LaneScheduler::kUnlimited
                           ? std::string("unlimited")
                           : std::to_string(k),
                       bench::fmt_mbps(row.peak_bps),

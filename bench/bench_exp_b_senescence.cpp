@@ -22,7 +22,7 @@ core::HighFidelityMonitor::Config probe_config() {
   cfg.probe.message_length = 8192;
   cfg.probe.inter_send = sim::Duration::ms(30);
   cfg.probe.message_count = 8;  // T ~ 8*30ms + result exchange
-  cfg.max_concurrent = 1;
+  cfg.scheduling.lanes = 1;
   return cfg;
 }
 

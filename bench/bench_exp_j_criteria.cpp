@@ -94,7 +94,7 @@ Score run_high_fidelity(int servers, int clients) {
   cfg.probe.message_length = 8192;
   cfg.probe.inter_send = sim::Duration::ms(30);
   cfg.probe.message_count = 8;
-  cfg.max_concurrent = 1;
+  cfg.scheduling.lanes = 1;
   core::HighFidelityMonitor monitor(s.bed->network(), cfg);
   core::MonitorRequest request;
   request.paths = s.paths;

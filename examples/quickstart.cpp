@@ -27,7 +27,7 @@ int main() {
   config.probe.message_length = 8192;                  // L
   config.probe.inter_send = sim::Duration::ms(30);     // P
   config.probe.message_count = 16;                     // burst length
-  config.max_concurrent = 1;                           // the test sequencer
+  config.scheduling.lanes = 1;                         // the test sequencer
   core::HighFidelityMonitor monitor(bed.network(), config);
 
   // A monitoring request, as the resource manager would send it: the full

@@ -146,17 +146,11 @@ SensorDirector::ProbeProfiler make_route_profiler(
 
 HighFidelityMonitor::HighFidelityMonitor(net::Network& network, Config config)
     : sensor_(network, config.probe, config.reach),
-      director_(network.simulator(), config.max_concurrent,
-                config.supervision, config.history_depth,
-                std::move(config.storage)) {
+      director_(network.simulator(), config) {
   director_.register_sensor(Metric::kThroughput, &sensor_);
   director_.register_sensor(Metric::kOneWayLatency, &sensor_);
   director_.register_sensor(Metric::kReachability, &sensor_);
-  SchedulerConfig scheduling = config.scheduling;
-  if (scheduling.lanes == 1) scheduling.lanes = config.max_concurrent;
-  director_.set_scheduling(scheduling);
-  if (config.auto_profile &&
-      (scheduling.budget_bps > 0 || scheduling.link_disjoint)) {
+  if (config.scheduling.budget_bps > 0 || config.scheduling.link_disjoint) {
     director_.set_probe_profiler(make_route_profiler(network, config.probe));
   }
 }

@@ -4,7 +4,8 @@
 // probing at the Application & Support layer. Probes launch *from the
 // path's source host* (the "RTDS server simulator" of Figure 5) and mimic
 // the monitored application's message length L and inter-send period P.
-// The test sequencer bounds concurrency: 1 = the paper's serial sequencer.
+// The director's test sequencer bounds concurrency: one lane is the paper's
+// serial sequencer.
 
 #include <memory>
 #include <unordered_map>
@@ -87,30 +88,13 @@ SensorDirector::ProbeProfiler make_route_profiler(
 
 class HighFidelityMonitor {
  public:
-  struct Config {
+  // The director's settings (scheduling, supervision, database) plus the
+  // probes'. With a budget or the disjointness gate active, each probe's
+  // offered load and link footprint come from the topology
+  // (make_route_profiler); director().set_probe_profiler() replaces that.
+  struct Config : DirectorConfig {
     nttcp::NttcpConfig probe;
     nttcp::ReachabilityProbe::Config reach;
-    // 1 reproduces the paper's test sequencer; kUnlimited the naive
-    // all-paths-in-parallel monitor.
-    std::size_t max_concurrent = 1;
-    // Budgeted multi-lane scheduling (DESIGN.md §11). The default —
-    // lanes = 1, no budget, no disjointness — defers the lane count to
-    // max_concurrent above and is bit-identical to the classic sequencer;
-    // scheduling.lanes != 1 takes precedence over max_concurrent.
-    SchedulerConfig scheduling;
-    // With a budget or the disjointness gate active, derive each probe's
-    // offered load and link footprint from the topology automatically
-    // (make_route_profiler); set false to supply a custom profiler via
-    // director().set_probe_profiler().
-    bool auto_profile = true;
-    // Samples retained per (path, metric) series. The 10k-path fabrics
-    // multiply this by C·S·metrics — drop it when soaking large matrices.
-    std::size_t history_depth = 64;
-    // Tiered storage engine under the database (DESIGN.md §13); the default
-    // keeps it enabled with the stock page/tier geometry.
-    TieredStorageConfig storage;
-    // Deadline/retry/breaker supervision; all off by default.
-    SupervisionConfig supervision;
   };
 
   HighFidelityMonitor(net::Network& network, Config config);

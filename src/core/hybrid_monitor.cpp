@@ -9,7 +9,6 @@ ScalableMonitor::Config background_config(const HybridMonitor::Config& c) {
   ScalableMonitor::Config out;
   out.manager = c.manager;
   out.sensor = c.snmp;
-  out.max_concurrent = c.background_concurrency;
   out.supervision = c.supervision;
   return out;
 }
@@ -93,7 +92,7 @@ void HybridMonitor::escalate(const Path& path) {
 }
 
 void HybridMonitor::probe_now(const Path& path, Metric metric) {
-  targeted_sequencer_.enqueue([this, path, metric](TestSequencer::Done done) {
+  targeted_sequencer_.enqueue([this, path, metric](LaneScheduler::Done done) {
     targeted_sensor_.measure(
         path, metric, [this, path, metric, done](MetricValue value) {
           ++targeted_done_;

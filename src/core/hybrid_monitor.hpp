@@ -31,7 +31,6 @@ class HybridMonitor {
     // While a targeted (high-fidelity) record is younger than this, lower-
     // fidelity background samples do not overwrite it in the database.
     sim::Duration targeted_authority = sim::Duration::sec(30);
-    std::size_t background_concurrency = 8;
     // Deadline/retry/breaker supervision for the background director; all
     // off by default (identical to the unsupervised monitor).
     SupervisionConfig supervision;
@@ -79,7 +78,7 @@ class HybridMonitor {
   Config config_;
   ScalableMonitor background_;
   NttcpSensor targeted_sensor_;
-  TestSequencer targeted_sequencer_{1};
+  LaneScheduler targeted_sequencer_;  // one lane: serialized escalations
   SensorDirector::TupleCallback on_tuple_;
   std::vector<PathRequest> paths_;
   SensorDirector::RequestId background_request_ = 0;

@@ -95,12 +95,6 @@ void LaneScheduler::configure(const SchedulerConfig& config) {
   pump();
 }
 
-void LaneScheduler::set_lanes(std::size_t lanes) {
-  SchedulerConfig c = config_;
-  c.lanes = lanes;
-  configure(c);
-}
-
 void LaneScheduler::set_clock(std::function<std::int64_t()> now_ns) {
   now_ns_ = std::move(now_ns);
 }

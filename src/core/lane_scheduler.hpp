@@ -172,7 +172,6 @@ class LaneScheduler {
 
   void configure(const SchedulerConfig& config);
   const SchedulerConfig& config() const { return config_; }
-  void set_lanes(std::size_t lanes);
 
   // Clock used for aging, starvation, and trace timestamps. Without one the
   // scheduler is timeless: aging is inert and admission is class-then-FIFO.

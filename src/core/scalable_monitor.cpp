@@ -126,15 +126,10 @@ ScalableMonitor::ScalableMonitor(net::Network& network, net::Host& station,
     : station_(station),
       manager_(station, config.manager),
       sensor_(network, manager_, config.sensor),
-      director_(network.simulator(), config.max_concurrent,
-                config.supervision, config.history_depth,
-                std::move(config.storage)) {
+      director_(network.simulator(), std::move(config)) {
   director_.register_sensor(Metric::kThroughput, &sensor_);
   director_.register_sensor(Metric::kOneWayLatency, &sensor_);
   director_.register_sensor(Metric::kReachability, &sensor_);
-  SchedulerConfig scheduling = config.scheduling;
-  if (scheduling.lanes == 1) scheduling.lanes = config.max_concurrent;
-  director_.set_scheduling(scheduling);
   manager_.set_trap_handler([this](const snmp::TrapEvent& event) {
     if (trap_callback_) trap_callback_(event);
   });

@@ -48,22 +48,14 @@ class SnmpSensor : public NetworkSensor {
 
 class ScalableMonitor {
  public:
-  struct Config {
+  // The director's settings plus the SNMP manager's and sensor's. SNMP
+  // polls carry no declared load, so the budget/disjoint gates only bind if
+  // the caller installs a profiler via director().set_probe_profiler().
+  struct Config : DirectorConfig {
+    // SNMP polls are light; modest parallelism is the realistic default.
+    Config() { scheduling.lanes = 8; }
     snmp::Manager::Config manager;
     SnmpSensor::Config sensor;
-    // SNMP polls are light; modest parallelism is the realistic default.
-    std::size_t max_concurrent = 8;
-    // Budgeted multi-lane scheduling (DESIGN.md §11); the default defers
-    // the lane count to max_concurrent above. SNMP polls carry no declared
-    // load, so the budget/disjoint gates only bind if the caller installs a
-    // profiler via director().set_probe_profiler().
-    SchedulerConfig scheduling;
-    // Samples retained per (path, metric) series.
-    std::size_t history_depth = 64;
-    // Tiered storage engine under the database (DESIGN.md §13).
-    TieredStorageConfig storage;
-    // Deadline/retry/breaker supervision; all off by default.
-    SupervisionConfig supervision;
   };
 
   // `station` is the management-station host (SunNet Manager analogue).

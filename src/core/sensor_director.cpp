@@ -28,17 +28,11 @@ const char* to_string(BreakerState state) {
   return "?";
 }
 
-SensorDirector::SensorDirector(sim::Simulator& sim, std::size_t max_concurrent)
-    : SensorDirector(sim, max_concurrent, SupervisionConfig{}) {}
-
-SensorDirector::SensorDirector(sim::Simulator& sim, std::size_t max_concurrent,
-                               SupervisionConfig supervision,
-                               std::size_t history_depth,
-                               TieredStorageConfig storage)
+SensorDirector::SensorDirector(sim::Simulator& sim, DirectorConfig config)
     : sim_(sim),
-      sequencer_(max_concurrent),
-      database_(history_depth, std::move(storage)),
-      supervision_(supervision) {
+      sequencer_(config.scheduling),
+      database_(config.history_depth, std::move(config.storage)),
+      supervision_(config.supervision) {
   // Simulation time drives the scheduler's senescence-weighted aging and
   // starvation accounting (inert under the default FIFO configuration).
   sequencer_.set_clock([this] { return sim_.now().nanos(); });
@@ -189,14 +183,14 @@ void SensorDirector::enqueue_job(std::shared_ptr<Job> job) {
   profile.priority = job->priority;
   profile.tag = job->path_id;
   sequencer_.enqueue(
-      [this, job = std::move(job)](TestSequencer::Done done) {
+      [this, job = std::move(job)](LaneScheduler::Done done) {
         launch(job, std::move(done));
       },
       std::move(profile));
 }
 
 void SensorDirector::launch(std::shared_ptr<Job> job,
-                            TestSequencer::Done done) {
+                            LaneScheduler::Done done) {
   if (job->request->cancelled) {
     // Account for the skipped job so the round can still close out.
     job_finished(job->request, job->path, job->path_id, job->metric,
@@ -261,7 +255,7 @@ void SensorDirector::launch(std::shared_ptr<Job> job,
 
 void SensorDirector::attempt_failed(const std::shared_ptr<Job>& job,
                                     NetworkSensor* sensor,
-                                    TestSequencer::Done done) {
+                                    LaneScheduler::Done done) {
   breaker_failure(sensor, job->path_id);
   if (job->attempt < supervision_.max_retries) {
     ++job->attempt;
@@ -286,7 +280,7 @@ void SensorDirector::attempt_failed(const std::shared_ptr<Job>& job,
 }
 
 void SensorDirector::exhaust(const std::shared_ptr<Job>& job,
-                             TestSequencer::Done done) {
+                             LaneScheduler::Done done) {
   ++stats_.exhausted;
   const MetricValue failed = MetricValue::failed(sim_.now());
   if (supervision_.report_stale_on_exhaustion) {

@@ -5,6 +5,9 @@
 // network sensors (through the test sequencer), records results in the
 // measurement database, and reports (path, metric) tuples back either
 // synchronously (batched per round) or asynchronously (per measurement).
+// It owns the sequencer and the database, and so their settings: one
+// DirectorConfig, which the high-fidelity and scalable monitors' configs
+// extend.
 //
 // Supervision layer (DESIGN.md §9): every measurement runs under an optional
 // deadline (a sensor that never invokes `done` is timed out and its
@@ -26,9 +29,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/lane_scheduler.hpp"
 #include "core/measurement_db.hpp"
 #include "core/path.hpp"
-#include "core/sequencer.hpp"
 #include "sim/simulator.hpp"
 
 namespace netmon::core {
@@ -108,6 +111,25 @@ struct SupervisionConfig {
   bool report_stale_on_exhaustion = false;
 };
 
+// Everything the director owns, configured in one place. The defaults are
+// the paper's director: one serial sequencer lane, no supervision, and the
+// stock database geometry. Every field has a default initializer, so a
+// caller names only what it sets: {.supervision = sup}.
+struct DirectorConfig {
+  // The test sequencer (DESIGN.md §11): lanes = 1 is the paper's serial
+  // sequencer, LaneScheduler::kUnlimited the naive all-paths-in-parallel
+  // monitor; budget, disjointness and aging generalize it.
+  SchedulerConfig scheduling{};
+  // Deadline/retry/breaker supervision; all off by default.
+  SupervisionConfig supervision{};
+  // Samples retained per (path, metric) series. The 10k-path fabrics
+  // multiply this by C·S·metrics — drop it when soaking large matrices.
+  std::size_t history_depth = 64;
+  // Tiered storage engine under the database (DESIGN.md §13); the default
+  // keeps it enabled with the stock page/tier geometry.
+  TieredStorageConfig storage{};
+};
+
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 const char* to_string(BreakerState state);
 
@@ -146,11 +168,7 @@ class SensorDirector {
       std::function<void(const std::vector<PathMetricTuple>&)>;
   using RequestId = std::uint64_t;
 
-  SensorDirector(sim::Simulator& sim, std::size_t max_concurrent = 1);
-  SensorDirector(sim::Simulator& sim, std::size_t max_concurrent,
-                 SupervisionConfig supervision,
-                 std::size_t history_depth = 64,
-                 TieredStorageConfig storage = {});
+  explicit SensorDirector(sim::Simulator& sim, DirectorConfig config = {});
   ~SensorDirector();
 
   // Sensor registration; the last *primary* registered for a metric wins
@@ -165,21 +183,14 @@ class SensorDirector {
     return chains_[static_cast<std::size_t>(metric)];
   }
 
-  void set_supervision(SupervisionConfig supervision) {
-    supervision_ = supervision;
-  }
   const SupervisionConfig& supervision() const { return supervision_; }
 
-  // Lane-scheduler generalization (DESIGN.md §11). set_scheduling replaces
-  // the embedded scheduler's configuration (lanes, budget, disjointness,
-  // aging); the profiler, when set, describes each measurement's offered
-  // load and link footprint to the admission gates — without one every
-  // probe is unconstrained (tag and priority are still filled in). Changes
-  // affect admissions from the next pump; already-launched probes finish.
+  // Lane-scheduler generalization (DESIGN.md §11). The profiler, when set,
+  // describes each measurement's offered load and link footprint to the
+  // admission gates — without one every probe is unconstrained (tag and
+  // priority are still filled in). A new profiler applies to measurements
+  // enqueued from then on.
   using ProbeProfiler = std::function<ProbeProfile(const Path&, Metric)>;
-  void set_scheduling(const SchedulerConfig& scheduling) {
-    sequencer_.configure(scheduling);
-  }
   void set_probe_profiler(ProbeProfiler profiler) {
     profiler_ = std::move(profiler);
   }
@@ -214,7 +225,8 @@ class SensorDirector {
 
   MeasurementDatabase& database() { return database_; }
   const MeasurementDatabase& database() const { return database_; }
-  TestSequencer& sequencer() { return sequencer_; }
+  // The paper's test sequencer, which is the lane scheduler.
+  LaneScheduler& sequencer() { return sequencer_; }
   const DirectorStats& stats() const { return stats_; }
   sim::Simulator& simulator() { return sim_; }
 
@@ -256,10 +268,10 @@ class SensorDirector {
 
   void start_round(std::shared_ptr<ActiveRequest> request);
   void enqueue_job(std::shared_ptr<Job> job);
-  void launch(std::shared_ptr<Job> job, TestSequencer::Done done);
+  void launch(std::shared_ptr<Job> job, LaneScheduler::Done done);
   void attempt_failed(const std::shared_ptr<Job>& job, NetworkSensor* sensor,
-                      TestSequencer::Done done);
-  void exhaust(const std::shared_ptr<Job>& job, TestSequencer::Done done);
+                      LaneScheduler::Done done);
+  void exhaust(const std::shared_ptr<Job>& job, LaneScheduler::Done done);
   sim::Duration backoff_delay(const Job& job) const;
 
   bool breaker_admits(NetworkSensor* sensor, PathId path);
@@ -278,7 +290,7 @@ class SensorDirector {
   void round_finished(const std::shared_ptr<ActiveRequest>& request);
 
   sim::Simulator& sim_;
-  TestSequencer sequencer_;
+  LaneScheduler sequencer_;
   MeasurementDatabase database_;
   std::array<std::vector<NetworkSensor*>, kMetricCount> chains_{};
   SupervisionConfig supervision_;

@@ -57,6 +57,19 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
+// Page timestamp deltas wrap modulo 2^64 on both ends, so any pair of
+// int64 timestamps has a delta and decoding it never overflows. In-range
+// deltas encode exactly as plain subtraction would.
+std::int64_t wrapping_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
+std::int64_t wrapping_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 void put_svarint(std::vector<std::byte>& out, std::int64_t v) {
   put_varint(out, zigzag(v));
 }
@@ -166,8 +179,8 @@ struct PayloadEncoder {
     put_varint(out, m.points.size());
     std::int64_t prev_last = 0;
     for (const core::TierPoint& pt : m.points) {
-      put_svarint(out, pt.first_ns - prev_last);
-      put_svarint(out, pt.last_ns - pt.first_ns);
+      put_svarint(out, wrapping_sub(pt.first_ns, prev_last));
+      put_svarint(out, wrapping_sub(pt.last_ns, pt.first_ns));
       put_f64(out, pt.min);
       put_f64(out, pt.max);
       put_f64(out, pt.sum);
@@ -257,8 +270,8 @@ Message decode_payload(MsgType type, Reader r) {
       std::int64_t prev_last = 0;
       for (std::uint64_t i = 0; i < n; ++i) {
         core::TierPoint pt;
-        pt.first_ns = prev_last + r.svarint();
-        pt.last_ns = pt.first_ns + r.svarint();
+        pt.first_ns = wrapping_add(prev_last, r.svarint());
+        pt.last_ns = wrapping_add(pt.first_ns, r.svarint());
         pt.min = r.f64();
         pt.max = r.f64();
         pt.sum = r.f64();

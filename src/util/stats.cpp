@@ -95,12 +95,4 @@ double SampleSet::quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
 }
 
-void Histogram::add(double key, double weight) {
-  if (key < 0.0) return;
-  const auto idx = static_cast<std::size_t>(key / width_);
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0.0);
-  buckets_[idx] += weight;
-  total_ += weight;
-}
-
 }  // namespace netmon::util

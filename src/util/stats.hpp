@@ -59,21 +59,4 @@ class SampleSet {
   mutable bool sorted_ = false;
 };
 
-// Counts events per fixed-width bucket of a key (e.g. time). Used by benches
-// to build time series.
-class Histogram {
- public:
-  explicit Histogram(double bucket_width) : width_(bucket_width) {}
-  void add(double key, double weight = 1.0);
-  double bucket_width() const { return width_; }
-  // Bucket index -> accumulated weight; missing buckets are zero.
-  const std::vector<double>& buckets() const { return buckets_; }
-  double total() const { return total_; }
-
- private:
-  double width_;
-  std::vector<double> buckets_;
-  double total_ = 0.0;
-};
-
 }  // namespace netmon::util

@@ -7,7 +7,6 @@
 #include "core/measurement_db.hpp"
 #include "core/scalable_monitor.hpp"
 #include "core/sensor_director.hpp"
-#include "core/sequencer.hpp"
 
 namespace netmon::core {
 namespace {
@@ -158,11 +157,11 @@ TEST(MeasurementDb, SenescenceMonotoneBetweenUpdates) {
 // --- sequencer ----------------------------------------------------------------
 
 TEST(Sequencer, SerialRunsOneAtATime) {
-  TestSequencer seq(1);
-  std::vector<TestSequencer::Done> pending;
+  LaneScheduler seq;  // one lane: the paper's serial test sequencer
+  std::vector<LaneScheduler::Done> pending;
   int started = 0;
   for (int i = 0; i < 5; ++i) {
-    seq.enqueue([&](TestSequencer::Done done) {
+    seq.enqueue([&](LaneScheduler::Done done) {
       ++started;
       pending.push_back(std::move(done));
     });
@@ -182,11 +181,11 @@ TEST(Sequencer, SerialRunsOneAtATime) {
 }
 
 TEST(Sequencer, ConcurrencyNeverExceedsLimit) {
-  TestSequencer seq(3);
+  LaneScheduler seq{SchedulerConfig{.lanes = 3}};
   std::size_t max_seen = 0;
-  std::vector<TestSequencer::Done> pending;
+  std::vector<LaneScheduler::Done> pending;
   for (int i = 0; i < 20; ++i) {
-    seq.enqueue([&](TestSequencer::Done done) {
+    seq.enqueue([&](LaneScheduler::Done done) {
       pending.push_back(std::move(done));
       max_seen = std::max(max_seen, seq.in_flight());
     });
@@ -207,10 +206,10 @@ TEST(Sequencer, ConcurrencyNeverExceedsLimit) {
 }
 
 TEST(Sequencer, SynchronousTasksDrainCompletely) {
-  TestSequencer seq(1);
+  LaneScheduler seq;
   int ran = 0;
   for (int i = 0; i < 100; ++i) {
-    seq.enqueue([&](TestSequencer::Done done) {
+    seq.enqueue([&](LaneScheduler::Done done) {
       ++ran;
       done();
     });
@@ -220,20 +219,22 @@ TEST(Sequencer, SynchronousTasksDrainCompletely) {
 }
 
 TEST(Sequencer, ZeroConcurrencyRejected) {
-  EXPECT_THROW(TestSequencer(0), std::invalid_argument);
-  TestSequencer seq(1);
-  EXPECT_THROW(seq.set_max_concurrent(0), std::invalid_argument);
+  EXPECT_THROW(LaneScheduler(SchedulerConfig{.lanes = 0}),
+               std::invalid_argument);
+  LaneScheduler seq;
+  EXPECT_THROW(seq.configure(SchedulerConfig{.lanes = 0}),
+               std::invalid_argument);
 }
 
 TEST(Sequencer, RaisingLimitDrainsQueue) {
-  TestSequencer seq(1);
-  std::vector<TestSequencer::Done> pending;
+  LaneScheduler seq;
+  std::vector<LaneScheduler::Done> pending;
   for (int i = 0; i < 4; ++i) {
     seq.enqueue(
-        [&](TestSequencer::Done done) { pending.push_back(std::move(done)); });
+        [&](LaneScheduler::Done done) { pending.push_back(std::move(done)); });
   }
   EXPECT_EQ(seq.in_flight(), 1u);
-  seq.set_max_concurrent(4);
+  seq.configure(SchedulerConfig{.lanes = 4});
   EXPECT_EQ(seq.in_flight(), 4u);
   for (auto& done : pending) done();
 }
@@ -272,7 +273,7 @@ class FakeSensor : public NetworkSensor {
 
 class DirectorFixture : public ::testing::Test {
  protected:
-  DirectorFixture() : sensor(sim, Duration::ms(10), 42.0), director(sim, 1) {
+  DirectorFixture() : sensor(sim, Duration::ms(10), 42.0), director(sim) {
     director.register_sensor(Metric::kThroughput, &sensor);
     director.register_sensor(Metric::kReachability, &sensor);
     director.register_sensor(Metric::kOneWayLatency, &sensor);
@@ -306,7 +307,7 @@ TEST_F(DirectorFixture, EmptyPathListRejected) {
 }
 
 TEST_F(DirectorFixture, MissingSensorRejected) {
-  SensorDirector bare(sim, 1);
+  SensorDirector bare(sim);
   EXPECT_THROW(bare.submit(one_shot(1, {Metric::kThroughput}), nullptr),
                std::logic_error);
 }
@@ -319,7 +320,8 @@ TEST_F(DirectorFixture, SequencerSerializesMeasurements) {
 }
 
 TEST_F(DirectorFixture, ParallelDirectorOverlapsMeasurements) {
-  SensorDirector parallel(sim, TestSequencer::kUnlimited);
+  SensorDirector parallel(
+      sim, {.scheduling = {.lanes = LaneScheduler::kUnlimited}});
   parallel.register_sensor(Metric::kThroughput, &sensor);
   MonitorRequest request = one_shot(8, {Metric::kThroughput});
   parallel.submit(request, nullptr);
@@ -498,6 +500,36 @@ TEST_F(MonitorFixture, ScalableMonitorSeesDownAgentAsUnreachable) {
   sim.run_for(Duration::sec(10));
   ASSERT_EQ(tuples.size(), 1u);
   EXPECT_DOUBLE_EQ(tuples[0].value.value, 0.0);
+}
+
+TEST_F(MonitorFixture, ScalableMonitorWithOneLaneRunsOnePollAtATime) {
+  // scheduling.lanes = 1 is the serial sequencer for the SNMP monitor too.
+  ScalableMonitor::Config cfg;
+  cfg.scheduling.lanes = 1;
+  ScalableMonitor monitor(bed->network(), bed->station(), cfg);
+  LaneScheduler& sequencer = monitor.director().sequencer();
+  sequencer.record_admissions(64);
+  MonitorRequest request;
+  request.paths = bed->full_matrix({Metric::kReachability});
+  std::vector<PathMetricTuple> tuples;
+  monitor.director().submit(
+      request, [&](const PathMetricTuple& t) { tuples.push_back(t); });
+  sim.run_for(Duration::sec(10));
+  ASSERT_EQ(tuples.size(), 6u);
+  ASSERT_EQ(sequencer.admissions().size(), 6u);
+  for (const AdmissionRecord& admission : sequencer.admissions()) {
+    EXPECT_EQ(admission.in_flight_after, 1u);
+  }
+  EXPECT_EQ(sequencer.config().lanes, 1u);
+}
+
+TEST_F(MonitorFixture, SnmpDirectorsDefaultToEightLanes) {
+  ScalableMonitor scalable(bed->network(), bed->station());
+  EXPECT_EQ(scalable.director().sequencer().config().lanes, 8u);
+  // Each SNMP manager binds the trap port on its station host, so the
+  // hybrid monitor's manager runs on another host.
+  HybridMonitor hybrid(bed->network(), bed->client(0), HybridMonitor::Config{});
+  EXPECT_EQ(hybrid.background().director().sequencer().config().lanes, 8u);
 }
 
 TEST_F(MonitorFixture, HybridEscalatesOnReachabilityLoss) {

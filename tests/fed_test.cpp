@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -190,6 +192,67 @@ TEST(FedWire, ExtremeValuesRoundTrip) {
   EXPECT_EQ(g.from_seq, gap.from_seq);
   EXPECT_EQ(g.to_seq, gap.to_seq);
   EXPECT_EQ(g.points, gap.points);
+}
+
+// Builds a Page frame by hand from raw (first_ns, last_ns) offsets, so a
+// test can send offsets that no encoding of real timestamps produces.
+std::vector<std::byte> page_frame(
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& offsets) {
+  std::vector<std::byte> payload;
+  auto u8 = [&payload](std::uint64_t v) {
+    payload.push_back(static_cast<std::byte>(v & 0xFF));
+  };
+  auto varint = [&u8](std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) u8(v | 0x80);
+    u8(v);
+  };
+  auto svarint = [&varint](std::int64_t v) {
+    varint((static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63));
+  };
+  varint(1);  // series
+  varint(1);  // page_seq
+  u8(0);      // tier
+  varint(offsets.size());
+  for (const auto& [first, last] : offsets) {
+    svarint(first);
+    svarint(last);
+    for (int i = 0; i < 24; ++i) u8(0);  // min, max, sum = +0.0
+    varint(1);  // count
+    varint(1);  // valid_count
+  }
+  std::vector<std::byte> frame{std::byte{0xF5}, std::byte{0xED},
+                               std::byte{4}};  // magic, kPage
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<std::byte>(payload.size() >> (8 * i)));
+  }
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = crc32(frame.data() + 2, frame.size() - 2);
+  for (int i = 0; i < 4; ++i) {
+    frame.push_back(static_cast<std::byte>(crc >> (8 * i)));
+  }
+  return frame;
+}
+
+TEST(FedWire, WrappingPageOffsetsDecodeWithoutOverflow) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  // Offsets wrap modulo 2^64: +1 past kMax lands on kMin and -1 past kMin
+  // on kMax. Every point is a well-formed instant, so the page decodes, and
+  // re-encoding wraps the same way back to the same bytes.
+  const auto frame = page_frame({{kMax, 0}, {1, 0}, {-1, 0}});
+  const Message decoded = parse_one(frame);
+  const auto& page = std::get<PageMsg>(decoded);
+  ASSERT_EQ(page.points.size(), 3u);
+  EXPECT_EQ(page.points[0].first_ns, kMax);
+  EXPECT_EQ(page.points[1].first_ns, kMin);
+  EXPECT_EQ(page.points[1].last_ns, kMin);
+  EXPECT_EQ(page.points[2].first_ns, kMax);
+  EXPECT_EQ(encode(decoded), frame);
+
+  // A last_ns offset that wraps past kMax ends the point before it starts:
+  // rejected as an inverted range.
+  EXPECT_THROW(parse_one(page_frame({{kMax, 1}})), WireError);
 }
 
 TEST(FedWire, EveryPrefixTruncationIsIncompleteNotError) {

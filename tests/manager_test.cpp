@@ -406,7 +406,7 @@ class ShapedLatencySensor : public core::NetworkSensor {
 };
 
 struct TrendHarness {
-  TrendHarness() : director(sim, 1), sensor(sim) {
+  TrendHarness() : director(sim), sensor(sim) {
     director.register_sensor(core::Metric::kOneWayLatency, &sensor);
   }
 
@@ -480,7 +480,7 @@ TEST(TrendBreaker, SustainedShiftPushesTheQuantileOverAndFailsOver) {
 
 TEST(TrendBreaker, InvalidTrendConfigRejected) {
   sim::Simulator sim;
-  core::SensorDirector director(sim, 1);
+  core::SensorDirector director(sim);
   ResourceManager::Config cfg;
   cfg.trend.window = Duration::sec(10);
   cfg.trend.quantile = 0.4;  // must be in (0.5, 1)

@@ -44,7 +44,7 @@ core::HighFidelityMonitor::Config monitor_config(std::size_t concurrency) {
   cfg.probe.inter_send = kInterSend;
   cfg.probe.message_count = kMessageCount;
   cfg.probe.result_timeout = Duration::sec(1);
-  cfg.max_concurrent = concurrency;
+  cfg.scheduling.lanes = concurrency;
   // A crashed target must not wedge the sequencer longer than the deadline.
   cfg.supervision.deadline = Duration::ms(1500);
   return cfg;
@@ -232,7 +232,7 @@ double one_round_peak_bps(std::size_t concurrency) {
 }
 
 TEST(ScenarioMatrix, SequencerTradesParallelBurstForBoundedLoad) {
-  const double parallel = one_round_peak_bps(core::TestSequencer::kUnlimited);
+  const double parallel = one_round_peak_bps(core::LaneScheduler::kUnlimited);
   const double sequenced = one_round_peak_bps(1);
 
   // Parallel: every path bursts at once — the C·S multiplier must show.

@@ -19,7 +19,6 @@
 #include "apps/fabric.hpp"
 #include "core/high_fidelity_monitor.hpp"
 #include "core/lane_scheduler.hpp"
-#include "core/sequencer.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "nttcp/nttcp.hpp"
@@ -37,7 +36,6 @@ using core::LinkKey;
 using core::ProbeClass;
 using core::ProbeProfile;
 using core::SchedulerConfig;
-using core::TestSequencer;
 using sim::Duration;
 
 // -------------------------------------------------------------------------
@@ -152,39 +150,6 @@ TEST(LaneScheduler, SingleLaneDefaultConfigIsFifo) {
     EXPECT_EQ(run.trace[i].entry_seq, i);
     EXPECT_EQ(run.trace[i].in_flight_after, 1u);
   }
-}
-
-TEST(LaneScheduler, TestSequencerIsTheSingleLaneSpecialCase) {
-  // The shim and an explicitly default-configured scheduler must make the
-  // same admissions at the same times for the same workload.
-  auto drive = [](LaneScheduler& sched) {
-    sim::Simulator sim;
-    sched.set_clock([&sim] { return sim.now().nanos(); });
-    sched.record_admissions(64);
-    util::Rng rng(7);
-    for (int i = 0; i < 40; ++i) {
-      const auto at = Duration::ms(rng.uniform_int(0, 100));
-      const auto hold = Duration::ms(rng.uniform_int(1, 30));
-      sim.schedule_in(at, [&sim, &sched, hold, i] {
-        ProbeProfile p;
-        p.tag = static_cast<std::uint64_t>(i);
-        sched.enqueue(
-            [&sim, hold](LaneScheduler::Done done) {
-              sim.schedule_in(hold, [done = std::move(done)] { done(); });
-            },
-            p);
-      });
-    }
-    sim.run_for(Duration::sec(60));
-    sched.check_consistency();
-    return sched.admissions();
-  };
-  TestSequencer classic(1);
-  LaneScheduler general{SchedulerConfig{}};
-  const auto a = drive(classic);
-  const auto b = drive(general);
-  ASSERT_EQ(a.size(), 40u);
-  EXPECT_TRUE(traces_equal(a, b));
 }
 
 TEST(LaneScheduler, CommittedLoadNeverExceedsBudget) {

@@ -12,7 +12,6 @@
 #include "apps/testbed.hpp"
 #include "core/scalable_monitor.hpp"
 #include "core/sensor_director.hpp"
-#include "core/sequencer.hpp"
 #include "sim/simulator.hpp"
 
 namespace netmon::core {
@@ -29,9 +28,9 @@ Path make_path(int a, int b) {
 // --- sequencer contract violations -------------------------------------------
 
 TEST(Sequencer, DoubleDoneIsCountedNoOp) {
-  TestSequencer seq(1);
-  TestSequencer::Done saved;
-  seq.enqueue([&](TestSequencer::Done done) { saved = std::move(done); });
+  LaneScheduler seq;
+  LaneScheduler::Done saved;
+  seq.enqueue([&](LaneScheduler::Done done) { saved = std::move(done); });
   EXPECT_EQ(seq.in_flight(), 1u);
 
   saved();
@@ -45,7 +44,7 @@ TEST(Sequencer, DoubleDoneIsCountedNoOp) {
   EXPECT_EQ(seq.double_dones(), 2u);
 
   bool ran = false;
-  seq.enqueue([&](TestSequencer::Done done) {
+  seq.enqueue([&](LaneScheduler::Done done) {
     ran = true;
     done();
   });
@@ -54,16 +53,16 @@ TEST(Sequencer, DoubleDoneIsCountedNoOp) {
 }
 
 TEST(Sequencer, AbandonedDoneReleasesSlot) {
-  TestSequencer seq(1);
+  LaneScheduler seq;
   // The task drops its Done without calling it — a wedged sensor that lost
   // its callback. The slot must come back anyway.
-  seq.enqueue([](TestSequencer::Done done) { (void)done; });
+  seq.enqueue([](LaneScheduler::Done done) { (void)done; });
   EXPECT_EQ(seq.in_flight(), 0u);
   EXPECT_EQ(seq.abandoned(), 1u);
   EXPECT_EQ(seq.completed(), 0u);
 
   bool ran = false;
-  seq.enqueue([&](TestSequencer::Done done) {
+  seq.enqueue([&](LaneScheduler::Done done) {
     ran = true;
     done();
   });
@@ -71,11 +70,11 @@ TEST(Sequencer, AbandonedDoneReleasesSlot) {
 }
 
 TEST(Sequencer, AbandonedDoneUnblocksQueuedTask) {
-  TestSequencer seq(1);
-  TestSequencer::Done held;
+  LaneScheduler seq;
+  LaneScheduler::Done held;
   bool second_ran = false;
-  seq.enqueue([&](TestSequencer::Done done) { held = std::move(done); });
-  seq.enqueue([&](TestSequencer::Done done) {
+  seq.enqueue([&](LaneScheduler::Done done) { held = std::move(done); });
+  seq.enqueue([&](LaneScheduler::Done done) {
     second_ran = true;
     done();
   });
@@ -87,18 +86,18 @@ TEST(Sequencer, AbandonedDoneUnblocksQueuedTask) {
 }
 
 TEST(Sequencer, AccountingBalancesAcrossContractViolations) {
-  TestSequencer seq(2);
-  TestSequencer::Done held;
+  LaneScheduler seq{SchedulerConfig{.lanes = 2}};
+  LaneScheduler::Done held;
   // A mix of clean completions, a double done, an abandoned done, and a
   // task still in flight: launched must always equal
   // completed + abandoned + in_flight.
-  seq.enqueue([](TestSequencer::Done done) { done(); });
-  seq.enqueue([&](TestSequencer::Done done) {
+  seq.enqueue([](LaneScheduler::Done done) { done(); });
+  seq.enqueue([&](LaneScheduler::Done done) {
     done();
     done();  // violation: absorbed
   });
-  seq.enqueue([](TestSequencer::Done done) { (void)done; });  // abandoned
-  seq.enqueue([&](TestSequencer::Done done) { held = std::move(done); });
+  seq.enqueue([](LaneScheduler::Done done) { (void)done; });  // abandoned
+  seq.enqueue([&](LaneScheduler::Done done) { held = std::move(done); });
   EXPECT_EQ(seq.launched(), 4u);
   EXPECT_EQ(seq.completed(), 2u);
   EXPECT_EQ(seq.abandoned(), 1u);
@@ -111,12 +110,12 @@ TEST(Sequencer, AccountingBalancesAcrossContractViolations) {
 }
 
 TEST(Sequencer, LaunchedCounterIsMonotoneThroughQueueing) {
-  TestSequencer seq(1);
-  TestSequencer::Done held;
-  seq.enqueue([&](TestSequencer::Done done) { held = std::move(done); });
+  LaneScheduler seq;
+  LaneScheduler::Done held;
+  seq.enqueue([&](LaneScheduler::Done done) { held = std::move(done); });
   // Queued tasks are not launched until a slot frees.
-  seq.enqueue([](TestSequencer::Done done) { done(); });
-  seq.enqueue([](TestSequencer::Done done) { done(); });
+  seq.enqueue([](LaneScheduler::Done done) { done(); });
+  seq.enqueue([](LaneScheduler::Done done) { done(); });
   EXPECT_EQ(seq.launched(), 1u);
   EXPECT_EQ(seq.queued(), 2u);
   held();
@@ -126,10 +125,10 @@ TEST(Sequencer, LaunchedCounterIsMonotoneThroughQueueing) {
 }
 
 TEST(Sequencer, DoneOutlivingSequencerIsNoOp) {
-  TestSequencer::Done saved;
+  LaneScheduler::Done saved;
   {
-    TestSequencer seq(1);
-    seq.enqueue([&](TestSequencer::Done done) { saved = std::move(done); });
+    LaneScheduler seq;
+    seq.enqueue([&](LaneScheduler::Done done) { saved = std::move(done); });
     EXPECT_EQ(seq.in_flight(), 1u);
   }
   saved();          // sequencer is gone; must not touch freed memory
@@ -212,7 +211,7 @@ TEST(Supervision, DeadlineReclaimsSlotFromHungSensor) {
   sim::Simulator sim;
   SupervisionConfig sup;
   sup.deadline = Duration::sec(1);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor hung(sim, "hung", 1.0);
   hung.behavior = ScriptedSensor::Behavior::kHang;
   director.register_sensor(Metric::kThroughput, &hung);
@@ -238,7 +237,7 @@ TEST(Supervision, LateCompletionAfterTimeoutIsCountedNoOp) {
   sim::Simulator sim;
   SupervisionConfig sup;
   sup.deadline = Duration::sec(1);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor slow(sim, "slow", 7.0);
   slow.behavior = ScriptedSensor::Behavior::kSlow;  // completes at t=5s
   director.register_sensor(Metric::kThroughput, &slow);
@@ -260,7 +259,7 @@ TEST(Supervision, RetryAfterFailureYieldsRetriedQuality) {
   SupervisionConfig sup;
   sup.max_retries = 2;
   sup.backoff_base = Duration::ms(100);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor flaky(sim, "flaky", 3.0);
   flaky.script = {ScriptedSensor::Behavior::kFail,
                   ScriptedSensor::Behavior::kFail,
@@ -284,7 +283,7 @@ TEST(Supervision, RetryReleasesSlotDuringBackoff) {
   SupervisionConfig sup;
   sup.max_retries = 1;
   sup.backoff_base = Duration::sec(1);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor flaky(sim, "flaky", 3.0);
   flaky.script = {ScriptedSensor::Behavior::kFail};  // then succeeds
   director.register_sensor(Metric::kThroughput, &flaky);
@@ -309,7 +308,7 @@ TEST(Supervision, RetryReleasesSlotDuringBackoff) {
 
 TEST(Supervision, FallbackSensorProducesFallbackQuality) {
   sim::Simulator sim;
-  SensorDirector director(sim, 1);
+  SensorDirector director(sim);
   ScriptedSensor primary(sim, "primary", 9.0);
   ScriptedSensor backup(sim, "backup", 4.0);
   primary.behavior = ScriptedSensor::Behavior::kFail;
@@ -329,7 +328,7 @@ TEST(Supervision, FallbackSensorProducesFallbackQuality) {
 
 TEST(Supervision, RegisteringPrimaryClearsChain) {
   sim::Simulator sim;
-  SensorDirector director(sim, 1);
+  SensorDirector director(sim);
   ScriptedSensor a(sim, "a", 1.0), b(sim, "b", 2.0);
   director.register_sensor(Metric::kThroughput, &a);
   director.register_fallback(Metric::kThroughput, &b);
@@ -345,7 +344,7 @@ TEST(Supervision, BreakerOpensSkipsAndRecovers) {
   SupervisionConfig sup;
   sup.breaker_threshold = 2;
   sup.breaker_open_for = Duration::sec(10);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor primary(sim, "primary", 9.0);
   ScriptedSensor backup(sim, "backup", 4.0);
   primary.behavior = ScriptedSensor::Behavior::kFail;
@@ -385,7 +384,7 @@ TEST(Supervision, BreakerIsScopedPerSensorAndPath) {
   SupervisionConfig sup;
   sup.breaker_threshold = 2;
   sup.breaker_open_for = Duration::sec(10);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor primary(sim, "primary", 9.0);
   ScriptedSensor backup(sim, "backup", 4.0);
   primary.fail_destination = net::IpAddr(10, 0, 0, 2);
@@ -417,7 +416,7 @@ TEST(Supervision, HalfOpenFailureReopensBreaker) {
   SupervisionConfig sup;
   sup.breaker_threshold = 1;
   sup.breaker_open_for = Duration::sec(10);
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor primary(sim, "primary", 9.0);
   ScriptedSensor backup(sim, "backup", 4.0);
   primary.behavior = ScriptedSensor::Behavior::kFail;
@@ -437,7 +436,7 @@ TEST(Supervision, HalfOpenFailureReopensBreaker) {
 
 TEST(Supervision, ExhaustionReportsFailedTupleNotSilence) {
   sim::Simulator sim;
-  SensorDirector director(sim, 1);
+  SensorDirector director(sim);
   ScriptedSensor broken(sim, "broken", 0.0);
   broken.behavior = ScriptedSensor::Behavior::kFail;
   director.register_sensor(Metric::kThroughput, &broken);
@@ -453,7 +452,7 @@ TEST(Supervision, StaleReReportOnExhaustion) {
   sim::Simulator sim;
   SupervisionConfig sup;
   sup.report_stale_on_exhaustion = true;
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor sensor(sim, "s", 42.0);
   director.register_sensor(Metric::kThroughput, &sensor);
   const Path p = make_path(1, 2);
@@ -489,7 +488,7 @@ TEST(Supervision, StaleWithoutHistoryStillReportsFailure) {
   sim::Simulator sim;
   SupervisionConfig sup;
   sup.report_stale_on_exhaustion = true;
-  SensorDirector director(sim, 1, sup);
+  SensorDirector director(sim, {.supervision = sup});
   ScriptedSensor broken(sim, "broken", 0.0);
   broken.behavior = ScriptedSensor::Behavior::kFail;
   director.register_sensor(Metric::kThroughput, &broken);
@@ -508,7 +507,8 @@ TEST(Supervision, DeadlineRetryFallbackPipeline) {
   sup.deadline = Duration::ms(500);
   sup.max_retries = 1;
   sup.backoff_base = Duration::ms(100);
-  SensorDirector director(sim, 2, sup);
+  SensorDirector director(
+      sim, {.scheduling = {.lanes = 2}, .supervision = sup});
   ScriptedSensor hung(sim, "hung", 9.0);
   ScriptedSensor backup(sim, "backup", 4.0);
   hung.behavior = ScriptedSensor::Behavior::kHang;

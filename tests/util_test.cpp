@@ -108,25 +108,6 @@ TEST(SampleSet, AddAfterQuantileStillSorted) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(Histogram, BucketsAccumulate) {
-  Histogram h(1.0);
-  h.add(0.5);
-  h.add(0.7);
-  h.add(2.1, 3.0);
-  ASSERT_EQ(h.buckets().size(), 3u);
-  EXPECT_DOUBLE_EQ(h.buckets()[0], 2.0);
-  EXPECT_DOUBLE_EQ(h.buckets()[1], 0.0);
-  EXPECT_DOUBLE_EQ(h.buckets()[2], 3.0);
-  EXPECT_DOUBLE_EQ(h.total(), 5.0);
-}
-
-TEST(Histogram, NegativeKeysIgnored) {
-  Histogram h(1.0);
-  h.add(-0.1);
-  EXPECT_TRUE(h.buckets().empty());
-  EXPECT_DOUBLE_EQ(h.total(), 0.0);
-}
-
 TEST(RingBuffer, FillsThenOverwritesOldest) {
   RingBuffer<int> rb(3);
   EXPECT_TRUE(rb.empty());

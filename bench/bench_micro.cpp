@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot substrate paths: event
 // queue, BER codec, MIB walks, the measurement database, route lookup and
-// route profiling, and a full simulated UDP round trip.
+// route profiling, the federation wire codec, and a full simulated UDP
+// round trip.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "core/lane_scheduler.hpp"
 #include "core/measurement_db.hpp"
 #include "ctrl/control_plane.hpp"
+#include "fed/wire.hpp"
 #include "net/topology.hpp"
 #include "net/udp.hpp"
 #include "obs/metrics.hpp"
@@ -200,6 +202,50 @@ void BM_BerDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BerDecode);
+
+// One sealed 64-point tier-0 page, as a federation child sends it to its
+// parent (DESIGN.md §14): timestamps 500 ms apart, one sample per point.
+fed::PageMsg sample_page() {
+  fed::PageMsg page;
+  page.series = 42;
+  page.page_seq = 7;
+  for (int i = 0; i < 64; ++i) {
+    core::TierPoint p;
+    p.first_ns = p.last_ns = 1'000'000'000LL + i * 500'000'000LL;
+    p.min = p.max = p.sum = 1e6 + i;
+    p.count = 1;
+    p.valid_count = 1;
+    page.points.push_back(p);
+  }
+  return page;
+}
+
+void BM_FedWireEncodePage(benchmark::State& state) {
+  const fed::Message page = sample_page();
+  const std::size_t frame_bytes = fed::encode(page).size();
+  for (auto _ : state) {
+    auto frame = fed::encode(page);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame_bytes));
+}
+BENCHMARK(BM_FedWireEncodePage);
+
+// The parent's receive path: feed one whole frame and parse it back.
+void BM_FedWireDecodePage(benchmark::State& state) {
+  const std::vector<std::byte> frame = fed::encode(sample_page());
+  fed::FrameParser parser;
+  for (auto _ : state) {
+    parser.feed(frame);
+    auto message = parser.next();
+    benchmark::DoNotOptimize(message);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_FedWireDecodePage);
 
 void BM_MibGetNextWalk(benchmark::State& state) {
   snmp::MibTree tree;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/backoff.hpp"
 
@@ -25,7 +26,14 @@ std::uint64_t zone_key(const std::string& zone) {
 
 FedChild::FedChild(net::Host& host, core::MeasurementDatabase& db,
                    FedChildConfig config)
-    : sim_(host.simulator()), host_(host), db_(db), config_(std::move(config)) {}
+    : sim_(host.simulator()), host_(host), db_(db), config_(std::move(config)) {
+  if (config_.spool_max_pages == 0) {
+    throw std::invalid_argument("FedChild: spool_max_pages must be >= 1");
+  }
+  if (config_.window_pages == 0) {
+    throw std::invalid_argument("FedChild: window_pages must be >= 1");
+  }
+}
 
 FedChild::~FedChild() { stop(); }
 
@@ -81,11 +89,7 @@ void FedChild::crash() {
   parser_.reset();
   declared_.clear();
   last_delta_ns_.clear();
-  in_flight_ = 0;
-  for (SpooledPage& p : spool_) p.sent = false;
-  for (auto& [series, gaps] : pending_gaps_) {
-    for (PendingGap& g : gaps) g.sent = false;
-  }
+  mark_all_unsent();
   attempt_ = 0;
   log_.append(sim_.now(), "child " + config_.zone + " crash");
 }
@@ -103,35 +107,43 @@ void FedChild::restart() {
 void FedChild::on_seal(std::uint32_t series, std::size_t tier,
                        const core::TierPoint* points, std::size_t n) {
   if (tier != 0 || n == 0) return;  // only raw pages travel; rollups are local
-  const std::uint64_t seq = ++next_seq_[series];
+  SeriesState& state = series_[series];
+  const std::uint64_t seq = ++state.next_seq;
   ++stats_.pages_spooled;
   stats_.points_spooled += n;
-  while (spool_.size() >= config_.spool_max_pages) {
-    // Shed the oldest page not currently in flight (preserves per-series
-    // seq ordering of what the parent will observe); only a spool smaller
-    // than the send window can force an in-flight page out.
-    auto victim = std::find_if(spool_.begin(), spool_.end(),
-                               [](const SpooledPage& p) { return !p.sent; });
-    if (victim == spool_.end()) victim = spool_.begin();
-    if (victim->sent && in_flight_ > 0) --in_flight_;
-    ++stats_.pages_shed;
-    stats_.points_shed += victim->points.size();
-    pending_gaps_[victim->series].push_back(
-        PendingGap{victim->page_seq, victim->page_seq, victim->points.size(),
-                   false});
-    log_.append(sim_.now(), "shed series=" + std::to_string(victim->series) +
-                                " seq=" + std::to_string(victim->page_seq) +
-                                " points=" +
-                                std::to_string(victim->points.size()));
-    spool_.erase(victim);
-  }
-  spool_.push_back(SpooledPage{
-      series, seq, false, false,
-      std::vector<core::TierPoint>(points, points + n)});
+  while (spool_.size() >= config_.spool_max_pages) shed_oldest();
+  state.pages.push_back(spool_.insert(
+      spool_.end(),
+      SpooledPage{series, seq, false, false,
+                  std::vector<core::TierPoint>(points, points + n)}));
+  ready_.insert(series);
   log_.append(sim_.now(), "spool series=" + std::to_string(series) + " seq=" +
                               std::to_string(seq) + " points=" +
                               std::to_string(n));
   if (session_up_) pump();
+}
+
+void FedChild::shed_oldest() {
+  // Shed the oldest page not currently in flight (preserves per-series
+  // seq ordering of what the parent will observe); only a spool smaller
+  // than the send window can force an in-flight page out. The scan skips
+  // at most the in-flight pages, and none while the session is down.
+  auto victim = std::find_if(spool_.begin(), spool_.end(),
+                             [](const SpooledPage& p) { return !p.sent; });
+  if (victim == spool_.end()) victim = spool_.begin();
+  if (victim->sent && in_flight_ > 0) --in_flight_;
+  ++stats_.pages_shed;
+  stats_.points_shed += victim->points.size();
+  SeriesState& state = series_.at(victim->series);
+  state.gaps.push_back(PendingGap{victim->page_seq, victim->page_seq,
+                                  victim->points.size(), false});
+  std::erase(state.pages, victim);
+  ready_.insert(victim->series);
+  log_.append(sim_.now(), "shed series=" + std::to_string(victim->series) +
+                              " seq=" + std::to_string(victim->page_seq) +
+                              " points=" +
+                              std::to_string(victim->points.size()));
+  spool_.erase(victim);
 }
 
 void FedChild::on_record(core::PathId id, core::Metric metric,
@@ -194,13 +206,20 @@ void FedChild::session_lost(const char* why) {
   heartbeat_timer_.cancel();
   parser_.reset();
   declared_.clear();
-  in_flight_ = 0;
-  for (SpooledPage& p : spool_) p.sent = false;
-  for (auto& [series, gaps] : pending_gaps_) {
-    for (PendingGap& g : gaps) g.sent = false;
-  }
+  mark_all_unsent();
   log_.append(sim_.now(), std::string("session lost: ") + why);
   schedule_reconnect();
+}
+
+void FedChild::mark_all_unsent() {
+  in_flight_ = 0;
+  for (SpooledPage& p : spool_) p.sent = false;
+  for (auto& [series, state] : series_) {
+    for (PendingGap& g : state.gaps) g.sent = false;
+    if (!state.pages.empty() || !state.gaps.empty()) {
+      ready_.insert(ready_.end(), series);
+    }
+  }
 }
 
 void FedChild::on_session_up(const HelloAckMsg& ack) {
@@ -210,28 +229,13 @@ void FedChild::on_session_up(const HelloAckMsg& ack) {
   ++stats_.sessions;
   last_ack_progress_ = sim_.now();
   for (const SeriesWatermark& w : ack.watermarks) {
-    std::uint64_t& a = acked_[w.series];
+    std::uint64_t& a = series_[w.series].acked;
     a = std::max(a, w.page_seq);
   }
   // Prune to the parent's watermarks: everything at or below is durably
   // merged (acked in a previous session, possibly after we crashed).
   std::size_t pruned = 0;
-  std::erase_if(spool_, [&](const SpooledPage& p) {
-    auto it = acked_.find(p.series);
-    const bool acked = it != acked_.end() && p.page_seq <= it->second;
-    if (acked) {
-      ++pruned;
-      ++stats_.pages_acked;
-    }
-    return acked;
-  });
-  for (auto& [series, gaps] : pending_gaps_) {
-    auto it = acked_.find(series);
-    if (it == acked_.end()) continue;
-    std::erase_if(gaps, [&](const PendingGap& g) {
-      return g.to_seq <= it->second;
-    });
-  }
+  for (auto& [series, state] : series_) pruned += drop_acked(state);
   log_.append(sim_.now(),
               "session up incarnation=" + std::to_string(incarnation_) +
                   " pruned=" + std::to_string(pruned) +
@@ -260,21 +264,30 @@ void FedChild::on_receive(std::span<const std::byte> data) {
 }
 
 void FedChild::on_ack(const AckMsg& ack) {
-  std::uint64_t& a = acked_[ack.series];
-  a = std::max(a, ack.page_seq);
+  SeriesState& state = series_[ack.series];
+  state.acked = std::max(state.acked, ack.page_seq);
   last_ack_progress_ = sim_.now();
-  std::erase_if(spool_, [&](const SpooledPage& p) {
-    if (p.series != ack.series || p.page_seq > a) return false;
-    if (p.sent && in_flight_ > 0) --in_flight_;
-    ++stats_.pages_acked;
-    return true;
-  });
-  auto git = pending_gaps_.find(ack.series);
-  if (git != pending_gaps_.end()) {
-    std::erase_if(git->second,
-                  [&](const PendingGap& g) { return g.to_seq <= a; });
-  }
+  drop_acked(state);
   pump();
+}
+
+std::size_t FedChild::drop_acked(SeriesState& state) {
+  // The series' pages are in seq order, so the acked ones are a prefix.
+  std::size_t dropped = 0;
+  for (const Spool::iterator p : state.pages) {
+    ++stats_.spool_scans;
+    if (p->page_seq > state.acked) break;
+    if (p->sent && in_flight_ > 0) --in_flight_;
+    spool_.erase(p);
+    ++dropped;
+  }
+  state.pages.erase(state.pages.begin(),
+                    state.pages.begin() + static_cast<std::ptrdiff_t>(dropped));
+  stats_.pages_acked += dropped;
+  stats_.spool_scans += state.gaps.size();
+  std::erase_if(state.gaps,
+                [&](const PendingGap& g) { return g.to_seq <= state.acked; });
+  return dropped;
 }
 
 void FedChild::declare_series(std::uint32_t series) {
@@ -294,29 +307,25 @@ void FedChild::declare_series(std::uint32_t series) {
 
 void FedChild::pump() {
   if (!session_up_) return;
-  // Per-series walk in seq order over spooled pages and pending gaps, so
-  // the parent always observes each series' sequence contiguously: a gap
-  // report never overtakes the pages sealed before it.
-  std::map<std::uint32_t, std::vector<SpooledPage*>> by_series;
-  for (SpooledPage& p : spool_) by_series[p.series].push_back(&p);
-  for (auto& [series, gaps] : pending_gaps_) {
-    if (!gaps.empty()) by_series.try_emplace(series);
-  }
+  // Ready series in ascending id; within one, a walk in seq order over its
+  // spooled pages and pending gaps, so the parent always observes each
+  // series' sequence contiguously: a gap report never overtakes the pages
+  // sealed before it. A series leaves the ready set once it sent it all.
   constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
-  for (auto& [series, pages] : by_series) {
-    std::vector<PendingGap>* gaps = nullptr;
-    if (auto git = pending_gaps_.find(series); git != pending_gaps_.end()) {
-      gaps = &git->second;
-    }
+  for (auto it = ready_.begin(); it != ready_.end(); it = ready_.erase(it)) {
+    const std::uint32_t series = *it;
+    SeriesState& state = series_.at(series);
+    std::vector<PendingGap>& gaps = state.gaps;
+    const std::vector<Spool::iterator>& pages = state.pages;
     std::size_t gi = 0;
     std::size_t pi = 0;
     for (;;) {
-      const std::uint64_t gseq =
-          (gaps != nullptr && gi < gaps->size()) ? (*gaps)[gi].from_seq : kNone;
+      const std::uint64_t gseq = gi < gaps.size() ? gaps[gi].from_seq : kNone;
       const std::uint64_t pseq = pi < pages.size() ? pages[pi]->page_seq : kNone;
       if (gseq == kNone && pseq == kNone) break;
+      ++stats_.spool_scans;
       if (gseq < pseq) {
-        PendingGap& g = (*gaps)[gi++];
+        PendingGap& g = gaps[gi++];
         if (g.sent) continue;
         declare_series(series);
         send_message(GapMsg{series, g.from_seq, g.to_seq, g.points});
@@ -327,7 +336,7 @@ void FedChild::pump() {
                                     "," + std::to_string(g.to_seq) +
                                     "] points=" + std::to_string(g.points));
       } else {
-        SpooledPage* p = pages[pi++];
+        const Spool::iterator p = pages[pi++];
         if (p->sent) continue;
         if (in_flight_ >= config_.window_pages) return;  // window full
         declare_series(series);
@@ -362,10 +371,8 @@ std::uint64_t FedChild::watermark_lag_pages() const {
   // Pages sealed but not yet known-merged by the parent (shed ones
   // included until their gap is acknowledged past).
   std::uint64_t lag = 0;
-  for (const auto& [series, next] : next_seq_) {
-    auto it = acked_.find(series);
-    const std::uint64_t acked = it == acked_.end() ? 0 : it->second;
-    lag += next - std::min(next, acked);
+  for (const auto& [series, state] : series_) {
+    lag += state.next_seq - std::min(state.next_seq, state.acked);
   }
   return lag;
 }

@@ -18,9 +18,15 @@
 // Pending gaps are retained until an ack covers them, so a gap lost with a
 // dying session is re-reported on resume. Reconnects use the shared
 // deterministic jittered backoff (util/backoff.hpp).
+//
+// Spool index. The spool is one list in global seal order (the shed
+// order); each series indexes its own pages in seq order, and a ready set
+// names the series that may still hold unsent work. A seal or an ack
+// touches one series' pages and gaps, and pump() only the ready series';
+// none of them walks the whole spool.
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -42,9 +48,11 @@ struct FedChildConfig {
   net::IpAddr parent_ip{};
   std::uint16_t parent_port = 7171;
   // Spool bound, in sealed pages across all series. Full => shed oldest.
+  // Must be >= 1.
   std::size_t spool_max_pages = 512;
   // Max sent-but-unacked pages per session (application-level window; TCP's
   // own buffering is unbounded, this is the backpressure that matters).
+  // Must be >= 1.
   std::size_t window_pages = 32;
   // Reconnect backoff bounds (deterministically jittered per attempt).
   sim::Duration retry_base = sim::Duration::ms(200);
@@ -62,6 +70,7 @@ struct FedChildConfig {
 
 class FedChild {
  public:
+  // Throws std::invalid_argument on a zero spool_max_pages or window_pages.
   FedChild(net::Host& host, core::MeasurementDatabase& db,
            FedChildConfig config);
   ~FedChild();
@@ -100,6 +109,10 @@ class FedChild {
     std::uint64_t sessions = 0;  // HelloAck received
     std::uint64_t crashes = 0;
     std::uint64_t restarts = 0;
+    // Spooled pages and pending gaps examined by pump() and by ack
+    // handling (per-frame acks and the session-up prune): a deterministic
+    // work count, which the federation soak bounds per spooled page.
+    std::uint64_t spool_scans = 0;
   };
   const Stats& stats() const { return stats_; }
   const ReplicationLog& log() const { return log_; }
@@ -119,15 +132,27 @@ class FedChild {
     bool ever_sent = false;  // sent in any session (resend accounting)
     std::vector<core::TierPoint> points;
   };
+  using Spool = std::list<SpooledPage>;
   struct PendingGap {
     std::uint64_t from_seq = 0;
     std::uint64_t to_seq = 0;
     std::uint64_t points = 0;
     bool sent = false;  // reported this session (kept until acked past)
   };
+  // Everything the child keeps per series. `pages` indexes the series'
+  // spooled pages in seq order (= seal order); its sent pages are a prefix
+  // of it and its sent gaps a prefix of `gaps`, so the unsent work is a
+  // suffix of each.
+  struct SeriesState {
+    std::uint64_t next_seq = 0;  // pages sealed
+    std::uint64_t acked = 0;     // parent watermark
+    std::vector<Spool::iterator> pages;
+    std::vector<PendingGap> gaps;  // shed order, kept until acked past
+  };
 
   void on_seal(std::uint32_t series, std::size_t tier,
                const core::TierPoint* points, std::size_t n);
+  void shed_oldest();
   void on_record(core::PathId id, core::Metric metric,
                  const core::MetricValue& value);
   void connect();
@@ -135,7 +160,12 @@ class FedChild {
   void on_session_up(const HelloAckMsg& ack);
   void on_receive(std::span<const std::byte> data);
   void on_ack(const AckMsg& ack);
+  // Drops the pages and gaps at or below the series' watermark; returns
+  // the number of pages dropped.
+  std::size_t drop_acked(SeriesState& state);
   void session_lost(const char* why);
+  // Session gone: nothing is in flight, every page and gap is unsent again.
+  void mark_all_unsent();
   void declare_series(std::uint32_t series);
   void pump();  // send gaps + unsent pages up to the window
   void heartbeat_tick();
@@ -148,10 +178,12 @@ class FedChild {
   FedChildConfig config_;
 
   // --- durable (survives crash()) ---
-  std::deque<SpooledPage> spool_;  // global seal order (= shed order)
-  std::map<std::uint32_t, std::uint64_t> next_seq_;  // per-series seal count
-  std::map<std::uint32_t, std::uint64_t> acked_;     // parent watermarks
-  std::map<std::uint32_t, std::vector<PendingGap>> pending_gaps_;
+  Spool spool_;  // global seal order (= shed order)
+  std::map<std::uint32_t, SeriesState> series_;
+  // Every series that holds an unsent page or gap, and maybe some that no
+  // longer do: pump() walks this set instead of the spool, and drops a
+  // series once it has sent everything the series holds.
+  std::set<std::uint32_t> ready_;
   std::uint64_t incarnation_ = 1;
   Stats stats_;
   ReplicationLog log_;

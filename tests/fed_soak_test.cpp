@@ -7,11 +7,15 @@
 // duplicates, zone staleness visible during each outage, and parent-side
 // senescence bounded by the delta cadence while zones are healthy. A
 // smaller same-seed scenario run twice must produce bit-identical
-// replication logs on both ends. Emits fed-replication-stats.json for CI.
+// replication logs on both ends. Golden digests of the replication logs pin
+// the exact frame order across commits, and the child's spool_scans work
+// count is held to a few examinations per spooled page. Emits
+// fed-replication-stats.json for CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -37,6 +41,20 @@ using core::MetricValue;
 using core::Path;
 using sim::Duration;
 using sim::TimePoint;
+
+// FNV-1a of a replication log export, as 16 hex digits. The golden digests
+// below were captured from a child that rescanned its whole spool on every
+// send pass, so they pin the frame order that implementation produced.
+std::string log_digest(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : text) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
 
 core::TieredStorageConfig zone_tiers() {
   core::TieredStorageConfig cfg;
@@ -235,16 +253,31 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
   EXPECT_GT(pa.deltas_applied, 0u);
   EXPECT_LE(pa.deltas_applied, ca.deltas_sent + cb.deltas_sent);
 
+  // The frames and their order are pinned across commits.
+  EXPECT_EQ(log_digest(child_a.log().export_text() +
+                       child_b.log().export_text() +
+                       parent.log().export_text()),
+            "28c0ba8119183677");
+
+  // Deterministic work count: pump() and the ack paths examine a few spool
+  // entries per spooled page, not the whole spool on every seal and ack
+  // (which cost ~800 per page here).
+  for (const FedChild::Stats* s : {&ca, &cb}) {
+    EXPECT_LE(s->spool_scans, 8 * (s->pages_spooled + s->gap_reports));
+  }
+
   // CI artifact: headline ledger plus the full registry snapshot.
   std::ofstream out("fed-replication-stats.json");
   out << "{\n\"zone_a\": {\"points_spooled\": " << ca.points_spooled
       << ", \"pages_shed\": " << ca.pages_shed
       << ", \"pages_resent\": " << ca.pages_resent
       << ", \"crashes\": " << ca.crashes << ", \"sessions\": " << ca.sessions
+      << ", \"spool_scans\": " << ca.spool_scans
       << "},\n\"zone_b\": {\"points_spooled\": " << cb.points_spooled
       << ", \"pages_shed\": " << cb.pages_shed
       << ", \"points_shed\": " << cb.points_shed
       << ", \"sessions\": " << cb.sessions
+      << ", \"spool_scans\": " << cb.spool_scans
       << "},\n\"parent\": {\"points_merged\": " << pa.points_merged
       << ", \"points_lost\": " << pa.points_lost
       << ", \"duplicates_skipped\": " << pa.duplicates_skipped
@@ -257,7 +290,8 @@ TEST(FedSoak, TwoZoneFabricSurvivesPartitionAndCrash) {
 
 // A reduced same-seed scenario with traffic, a partition window, and a
 // crash/restart; both replication logs must be bit-identical across runs.
-std::pair<std::string, std::string> run_replay_scenario(std::uint64_t seed) {
+std::pair<std::string, std::string> run_replay_scenario(
+    std::uint64_t seed, std::size_t spool_max_pages, std::size_t window_pages) {
   sim::Simulator sim;
   net::Network network(sim, util::Rng(seed));
   net::Host& parent_host = network.add_host("parent");
@@ -271,7 +305,8 @@ std::pair<std::string, std::string> run_replay_scenario(std::uint64_t seed) {
   FedChildConfig cfg;
   cfg.zone = "soak-det";
   cfg.parent_ip = net::IpAddr(10, 0, 0, 1);
-  cfg.spool_max_pages = 24;  // small enough to shed during the partition
+  cfg.spool_max_pages = spool_max_pages;
+  cfg.window_pages = window_pages;
   cfg.retry_max = Duration::sec(5);
   cfg.ack_timeout = Duration::sec(2);
   FedChild child(child_host, child_db, cfg);
@@ -310,12 +345,33 @@ std::pair<std::string, std::string> run_replay_scenario(std::uint64_t seed) {
 }
 
 TEST(FedSoak, SameSeedRunsReplayBitIdenticalLogs) {
-  const auto first = run_replay_scenario(99);
-  const auto second = run_replay_scenario(99);
+  // A 24-page spool is small enough to shed during the partition.
+  const auto first = run_replay_scenario(99, 24, 32);
+  const auto second = run_replay_scenario(99, 24, 32);
   EXPECT_FALSE(first.first.empty());
   EXPECT_FALSE(first.second.empty());
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+}
+
+// The replay scenario's logs against golden digests: the frame order must
+// not move. The spool/window pairs cover sheds with a free window (24/32),
+// a spool smaller than the window, so in-flight pages are shed (4/8), a
+// one-page window (24/1), and a two-page spool (2/32).
+TEST(FedSoak, ReplayLogsMatchGoldenDigests) {
+  struct Case {
+    std::size_t spool;
+    std::size_t window;
+    const char* digest;
+  };
+  for (const Case& c : {Case{24, 32, "090261fedc3f2281"},
+                        Case{4, 8, "fc258a744b9239ec"},
+                        Case{24, 1, "8baca3ee5fd8fd28"},
+                        Case{2, 32, "7daf0e454789022a"}}) {
+    const auto logs = run_replay_scenario(99, c.spool, c.window);
+    EXPECT_EQ(log_digest(logs.first + logs.second), c.digest)
+        << "spool " << c.spool << " window " << c.window;
+  }
 }
 
 }  // namespace

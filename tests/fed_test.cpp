@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
@@ -661,6 +662,38 @@ TEST_F(FedFixture, SpoolOverflowShedsOldestAndAccountsEveryPoint) {
             child.stats().points_spooled);
   EXPECT_EQ(merged_count(path), 24u);
   EXPECT_EQ(child.spool_pages(), 0u);
+}
+
+// A zero spool has no room for the first sealed page, and a zero window
+// never sends one, so every point would be shed as lost: both are rejected
+// at construction. The smallest valid spool and window stream everything.
+TEST_F(FedFixture, RejectsZeroSpoolOrWindow) {
+  FedChildConfig no_spool = child_config();
+  no_spool.spool_max_pages = 0;
+  EXPECT_THROW(FedChild child(*child_host, child_db, no_spool),
+               std::invalid_argument);
+  FedChildConfig no_window = child_config();
+  no_window.window_pages = 0;
+  EXPECT_THROW(FedChild child(*child_host, child_db, no_window),
+               std::invalid_argument);
+
+  FedParent parent(*parent_host, parent_db, {});
+  FedChildConfig minimal = child_config();
+  minimal.spool_max_pages = 1;
+  minimal.window_pages = 1;
+  FedChild child(*child_host, child_db, minimal);
+  parent.start();
+  child.start();
+  sim.run_for(Duration::ms(500));
+  const Path path = app_path();
+  record_samples(path, 40, Duration::ms(50));  // 5 pages of 8
+  sim.run_for(Duration::sec(5));
+
+  EXPECT_EQ(child.stats().pages_spooled, 5u);
+  EXPECT_EQ(child.stats().pages_shed, 0u);
+  EXPECT_EQ(child.spool_pages(), 0u);
+  EXPECT_EQ(parent.stats().points_merged, 40u);
+  EXPECT_EQ(merged_count(path), 40u);
 }
 
 TEST_F(FedFixture, CrashRestartReplaysOnlyUnackedPages) {
